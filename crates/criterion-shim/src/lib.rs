@@ -5,6 +5,11 @@
 //! best-of-N wall-clock loop with automatic iteration scaling — good
 //! enough for relative before/after comparisons on one machine.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness measures wall-clock time"
+)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

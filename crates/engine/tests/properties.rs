@@ -1,5 +1,10 @@
 //! Property-based tests for the simulation kernel.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "BinaryHeap and HashMap are the reference models the engine structures are checked against"
+)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

@@ -1,6 +1,4 @@
-//! The `pimdsm-lab` command-line interface — and, through
-//! [`bin_main`], the whole implementation of the thin per-figure
-//! wrapper binaries (`fig6`, `table1`, ...).
+//! The `pimdsm-lab` command-line interface.
 //!
 //! ```text
 //! pimdsm-lab list                    # name + title + point count per suite
@@ -9,17 +7,20 @@
 //! pimdsm-lab clean                   # drop the result cache
 //! ```
 //!
-//! The observability flags the bench binaries used to parse each on their
-//! own (`--trace`, `--trace-only`, `--metrics`, `--epoch`, `--report`)
-//! live here now, once, alongside the lab's own `--jobs`, `--cache-dir`,
+//! Flags: the observability outputs (`--trace`, `--trace-only`,
+//! `--metrics`, `--epoch`, `--report`) alongside `--jobs`, `--cache-dir`,
 //! `--no-cache`, `--threads`, `--scale`, `--quiet` and
-//! `--require-hit-rate`.
+//! `--require-hit-rate`. The environment knobs `PIMDSM_THREADS` and
+//! `PIMDSM_SCALE` set the defaults of `--threads` and `--scale` and are
+//! validated by the same parsers: a bad value of either exits 1 with the
+//! usage text before any point runs.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pimdsm::RunReport;
 use pimdsm_obs::{JsonValue, ToJson, Tracer};
+use pimdsm_proto::NodeSet;
 use pimdsm_workloads::Scale;
 
 use crate::bench;
@@ -31,23 +32,17 @@ use crate::suites::{find, Suite, SuiteCtx, ALL_SUITES};
 /// clean` wipe it with everything else.
 pub const DEFAULT_CACHE_DIR: &str = "target/lab-cache";
 
-/// Standard thread count for the main comparison (the paper uses 32; a
-/// smaller count keeps quick runs fast). `PIMDSM_THREADS` overrides.
-pub fn default_threads() -> usize {
-    std::env::var("PIMDSM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-}
+/// Standard thread count for the main comparison (the paper uses 32).
+/// `PIMDSM_THREADS` and `--threads` override it.
+pub const DEFAULT_THREADS: usize = 32;
 
-/// Scale selected via `PIMDSM_SCALE` (full / bench / ci), default bench.
-pub fn default_scale() -> Scale {
-    match std::env::var("PIMDSM_SCALE").as_deref() {
-        Ok("full") => Scale::full(),
-        Ok("ci") => Scale::ci(),
-        _ => Scale::bench(),
-    }
-}
+const USAGE: &str = "\
+usage: pimdsm-lab <run|bench|list|clean> [suites|--all] [flags]
+flags: --jobs N --cache-dir DIR --no-cache --threads N --scale full|bench|ci
+       --trace F --trace-only SUBSTR --metrics F --epoch N --report F
+       --require-hit-rate PCT --quiet
+bench: --runs N --out F --no-out --compare BASE --against CUR --check F --threshold X
+env:   PIMDSM_THREADS (default of --threads, 1..=64), PIMDSM_SCALE (default of --scale)";
 
 #[derive(Debug, PartialEq)]
 enum Command {
@@ -90,6 +85,7 @@ impl Default for BenchCmd {
     }
 }
 
+#[derive(Debug)]
 struct Options {
     command: Command,
     bench: Option<BenchCmd>,
@@ -107,17 +103,33 @@ struct Options {
     quiet: bool,
 }
 
+/// The environment knobs as read by `main` (`None` when unset), passed
+/// in so that parsing never reads or mutates the process environment.
+#[derive(Debug, Default, Clone, Copy)]
+struct EnvKnobs<'a> {
+    threads: Option<&'a str>,
+    scale: Option<&'a str>,
+}
+
 impl Options {
-    fn defaults(command: Command) -> Options {
+    fn defaults(command: Command, env: EnvKnobs<'_>) -> Result<Options, String> {
         let bench = matches!(command, Command::Bench(_)).then(BenchCmd::default);
-        Options {
+        let threads = env
+            .threads
+            .map_or(Ok(DEFAULT_THREADS), parse_threads)
+            .map_err(|e| format!("PIMDSM_THREADS {e}"))?;
+        let scale = env
+            .scale
+            .map_or(Ok(Scale::bench()), parse_scale)
+            .map_err(|e| format!("PIMDSM_SCALE {e}"))?;
+        Ok(Options {
             command,
             bench,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cache_dir: DEFAULT_CACHE_DIR.into(),
             no_cache: false,
-            threads: default_threads(),
-            scale: default_scale(),
+            threads,
+            scale,
             trace_path: None,
             trace_only: None,
             metrics_path: None,
@@ -125,7 +137,7 @@ impl Options {
             report_path: None,
             require_hit_rate: None,
             quiet: false,
-        }
+        })
     }
 }
 
@@ -134,19 +146,22 @@ fn parse_scale(v: &str) -> Result<Scale, String> {
         "full" => Ok(Scale::full()),
         "bench" => Ok(Scale::bench()),
         "ci" => Ok(Scale::ci()),
-        other => Err(format!("--scale takes full|bench|ci, not {other:?}")),
+        other => Err(format!("takes full|bench|ci, not {other:?}")),
     }
 }
 
-/// Parses flags shared by the lab CLI and the wrapper binaries.
-/// Returns `Err` on a malformed value; unknown arguments are an error in
-/// `strict` mode (the lab CLI) and a warning otherwise (the wrappers,
-/// which historically ignored unknown flags).
-fn parse_flags(
-    args: impl Iterator<Item = String>,
-    opts: &mut Options,
-    strict: bool,
-) -> Result<(), String> {
+/// A thread count: one node per thread, at most [`NodeSet::MAX_NODES`]
+/// (node sets are 64-bit masks), at least one.
+fn parse_threads(v: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(n) if (1..=NodeSet::MAX_NODES).contains(&n) => Ok(n),
+        _ => Err(format!("takes 1..={}, not {v:?}", NodeSet::MAX_NODES)),
+    }
+}
+
+/// Parses the flags after the command. Returns `Err` on a malformed
+/// value or an unknown argument.
+fn parse_flags(args: impl Iterator<Item = String>, opts: &mut Options) -> Result<(), String> {
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -163,11 +178,12 @@ fn parse_flags(
             "--cache-dir" => opts.cache_dir = value("--cache-dir")?.into(),
             "--no-cache" => opts.no_cache = true,
             "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
+                opts.threads =
+                    parse_threads(&value("--threads")?).map_err(|e| format!("--threads {e}"))?
             }
-            "--scale" => opts.scale = parse_scale(&value("--scale")?)?,
+            "--scale" => {
+                opts.scale = parse_scale(&value("--scale")?).map_err(|e| format!("--scale {e}"))?
+            }
             "--trace" => opts.trace_path = Some(value("--trace")?.into()),
             "--trace-only" => opts.trace_only = Some(value("--trace-only")?),
             "--metrics" => opts.metrics_path = Some(value("--metrics")?.into()),
@@ -216,14 +232,16 @@ fn parse_flags(
                 }
                 opts.bench.as_mut().unwrap().threshold = t
             }
-            other if strict => return Err(format!("unknown argument {other:?}")),
-            other => eprintln!("[lab] ignoring unknown argument {other:?}"),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok(())
 }
 
-fn parse_lab_args(argv: impl Iterator<Item = String>) -> Result<Options, String> {
+fn parse_lab_args(
+    argv: impl Iterator<Item = String>,
+    env: EnvKnobs<'_>,
+) -> Result<Options, String> {
     let mut argv = argv.peekable();
     let command = match argv.next().as_deref() {
         Some("run") => {
@@ -267,42 +285,28 @@ fn parse_lab_args(argv: impl Iterator<Item = String>) -> Result<Options, String>
         }
         None => return Err("usage: pimdsm-lab <run|bench|list|clean> [flags]".into()),
     };
-    let mut opts = Options::defaults(command);
-    parse_flags(argv, &mut opts, true)?;
+    let mut opts = Options::defaults(command, env)?;
+    parse_flags(argv, &mut opts)?;
     Ok(opts)
 }
 
 /// Entry point of the `pimdsm-lab` binary.
 pub fn main() -> ExitCode {
-    let opts = match parse_lab_args(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("pimdsm-lab: {e}");
-            eprintln!("usage: pimdsm-lab <run|bench|list|clean> [suites|--all] [flags]");
-            eprintln!(
-                "flags: --jobs N --cache-dir DIR --no-cache --threads N --scale full|bench|ci"
-            );
-            eprintln!("       --trace F --trace-only SUBSTR --metrics F --epoch N --report F");
-            eprintln!("       --require-hit-rate PCT --quiet");
-            eprintln!(
-                "bench: --runs N --out F --no-out --compare BASE --against CUR --check F --threshold X"
-            );
-            return ExitCode::FAILURE;
-        }
+    // A value that is not UTF-8 keeps its replacement characters, which
+    // fail the parsers like any other bad value.
+    let knob = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    let (threads, scale) = (knob("PIMDSM_THREADS"), knob("PIMDSM_SCALE"));
+    let env = EnvKnobs {
+        threads: threads.as_deref(),
+        scale: scale.as_deref(),
     };
-    dispatch(opts)
-}
-
-/// Entry point of the thin per-figure wrapper binaries: runs one suite
-/// with the shared flag surface (unknown flags warn instead of failing,
-/// as the old binaries did).
-pub fn bin_main(suite: &'static str) -> ExitCode {
-    let mut opts = Options::defaults(Command::Run(vec![suite.to_string()]));
-    if let Err(e) = parse_flags(std::env::args().skip(1), &mut opts, false) {
-        eprintln!("{suite}: {e}");
-        return ExitCode::FAILURE;
+    match parse_lab_args(std::env::args().skip(1), env) {
+        Ok(opts) => dispatch(opts),
+        Err(e) => {
+            eprintln!("pimdsm-lab: {e}\n{USAGE}");
+            ExitCode::FAILURE
+        }
     }
-    dispatch(opts)
 }
 
 fn dispatch(opts: Options) -> ExitCode {
@@ -690,9 +694,13 @@ mod tests {
         s.split_whitespace().map(str::to_string)
     }
 
+    fn parse(s: &str) -> Result<Options, String> {
+        parse_lab_args(args(s), EnvKnobs::default())
+    }
+
     #[test]
     fn parses_run_with_suites_and_flags() {
-        let o = parse_lab_args(args("run fig6 fig7 --jobs 4 --no-cache --scale ci")).unwrap();
+        let o = parse("run fig6 fig7 --jobs 4 --no-cache --scale ci").unwrap();
         assert_eq!(o.command, Command::Run(vec!["fig6".into(), "fig7".into()]));
         assert_eq!(o.jobs, 4);
         assert!(o.no_cache);
@@ -701,7 +709,7 @@ mod tests {
 
     #[test]
     fn run_all_expands_to_every_suite() {
-        let o = parse_lab_args(args("run --all")).unwrap();
+        let o = parse("run --all").unwrap();
         let Command::Run(names) = o.command else {
             panic!("not a run")
         };
@@ -710,25 +718,65 @@ mod tests {
 
     #[test]
     fn rejects_unknown_commands_and_flags() {
-        assert!(parse_lab_args(args("frobnicate")).is_err());
-        assert!(parse_lab_args(args("run fig6 --frobnicate")).is_err());
-        assert!(parse_lab_args(args("run")).is_err());
-        assert!(parse_lab_args(args("run fig6 --scale huge")).is_err());
+        assert!(parse("frobnicate").is_err());
+        assert!(parse("run fig6 --frobnicate").is_err());
+        assert!(parse("run").is_err());
+        assert!(parse("run fig6 --scale huge").is_err());
     }
 
     #[test]
-    fn wrapper_parsing_tolerates_unknown_flags() {
-        let mut o = Options::defaults(Command::Run(vec!["fig6".into()]));
-        parse_flags(args("--totally-unknown --jobs 2"), &mut o, false).unwrap();
-        assert_eq!(o.jobs, 2);
+    fn env_knobs_set_the_defaults_and_flags_override_them() {
+        let env = EnvKnobs {
+            threads: Some("8"),
+            scale: Some("ci"),
+        };
+        let o = parse_lab_args(args("run smoke"), env).unwrap();
+        assert_eq!((o.threads, o.scale), (8, Scale::ci()));
+        let o = parse_lab_args(args("run smoke --threads 64 --scale full"), env).unwrap();
+        assert_eq!((o.threads, o.scale), (64, Scale::full()));
+        let o = parse("run smoke").unwrap();
+        assert_eq!((o.threads, o.scale), (DEFAULT_THREADS, Scale::bench()));
+    }
+
+    #[test]
+    fn bad_thread_counts_are_rejected_at_the_boundary() {
+        for bad in ["0", "65", "abc", "-1", ""] {
+            let env = EnvKnobs {
+                threads: Some(bad),
+                scale: None,
+            };
+            let e = parse_lab_args(args("run smoke"), env).unwrap_err();
+            assert!(e.starts_with("PIMDSM_THREADS takes 1..=64"), "{bad:?}: {e}");
+            let e = parse(&format!("run smoke --threads {bad}")).unwrap_err();
+            assert!(e.starts_with("--threads"), "{bad:?}: {e}");
+        }
+        // The flag does not rescue a bad environment value.
+        let env = EnvKnobs {
+            threads: Some("0"),
+            scale: None,
+        };
+        assert!(parse_lab_args(args("run smoke --threads 4"), env).is_err());
+    }
+
+    #[test]
+    fn bad_scales_are_rejected_at_the_boundary() {
+        for bad in ["bogus", "CI", ""] {
+            let env = EnvKnobs {
+                threads: None,
+                scale: Some(bad),
+            };
+            let e = parse_lab_args(args("list"), env).unwrap_err();
+            assert!(
+                e.starts_with("PIMDSM_SCALE takes full|bench|ci"),
+                "{bad:?}: {e}"
+            );
+        }
     }
 
     #[test]
     fn parses_bench_command_and_flags() {
-        let o = parse_lab_args(args(
-            "bench smoke --runs 5 --jobs 1 --threshold 3.0 --compare BENCH_smoke.json",
-        ))
-        .unwrap();
+        let o = parse("bench smoke --runs 5 --jobs 1 --threshold 3.0 --compare BENCH_smoke.json")
+            .unwrap();
         assert_eq!(o.command, Command::Bench(vec!["smoke".into()]));
         let b = o.bench.unwrap();
         assert_eq!(b.runs, 5);
@@ -736,8 +784,7 @@ mod tests {
         assert_eq!(b.compare.as_deref(), Some(Path::new("BENCH_smoke.json")));
         assert_eq!(o.jobs, 1);
 
-        let o =
-            parse_lab_args(args("bench --check a.json --check b.json --against c.json")).unwrap();
+        let o = parse("bench --check a.json --check b.json --against c.json").unwrap();
         assert_eq!(o.command, Command::Bench(Vec::new()));
         let b = o.bench.unwrap();
         assert_eq!(b.check.len(), 2);
@@ -746,16 +793,16 @@ mod tests {
 
     #[test]
     fn bench_flags_are_rejected_outside_bench() {
-        assert!(parse_lab_args(args("run fig6 --runs 3")).is_err());
-        assert!(parse_lab_args(args("bench smoke --threshold 0.5")).is_err());
-        assert!(parse_lab_args(args("bench smoke --runs zero")).is_err());
+        assert!(parse("run fig6 --runs 3").is_err());
+        assert!(parse("bench smoke --threshold 0.5").is_err());
+        assert!(parse("bench smoke --runs zero").is_err());
     }
 
     #[test]
-    fn obs_flags_parse_like_the_old_binaries() {
-        let o = parse_lab_args(args(
+    fn obs_flags_parse() {
+        let o = parse(
             "run fig6 --trace t.json --trace-only FFT --metrics m.json --epoch 5000 --report r.json",
-        ))
+        )
         .unwrap();
         assert_eq!(o.trace_path.as_deref(), Some(Path::new("t.json")));
         assert_eq!(o.trace_only.as_deref(), Some("FFT"));

@@ -17,11 +17,13 @@
 //!   threshold-based regression comparator, on top of the `pimdsm-prof`
 //!   counters threaded through the executor.
 //!
-//! The [`cli`] module is the single flag surface shared by the
-//! `pimdsm-lab` binary and the thin per-figure wrappers in
-//! `crates/bench`.
+//! The [`cli`] module is the `pimdsm-lab` binary's flag surface.
 
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the lab is the host side: it times sweeps on the wall clock and reads its CLI and environment"
+)]
 
 pub mod bench;
 pub mod cache;

@@ -1,53 +1,33 @@
-//! `pimdsm-lint` — determinism & protocol-invariant static analysis.
+//! `pimdsm-lint` — the source checks the toolchain cannot express.
 //!
-//! The simulator's evaluation rests on cycle-exact, reproducible runs,
-//! and two whole bug classes that threaten that are statically visible in
-//! the source: *nondeterminism* (unordered collections and ambient
-//! time/randomness on the simulation path) and *invariant holes*
-//! (transaction walks that never `finish`, report fields dropped from the
-//! JSON round-trip, trace events no consumer knows about). This crate
-//! scans the workspace source directly — it is dependency-free by design
-//! (the build environment is offline), so instead of a `syn` AST it uses
-//! a masking lexer plus just enough structure extraction; see
-//! [`scan`].
-//!
-//! Rules (see [`rules::RULES`]):
+//! The simulator's evaluation rests on cycle-exact, reproducible runs.
+//! Most of that contract is enforced by the compiler: the workspace
+//! `clippy.toml` bans unordered collections, wall-clock reads and
+//! ambient environment access, `Txn` is `#[must_use]` with a debug-build
+//! drop guard, and `pimdsm_prof::phase!` rejects unregistered names at
+//! compile time (see DESIGN.md, "Static analysis & determinism
+//! contract"). This crate keeps the two rules that relate *string
+//! contents* across files, which no type can carry:
 //!
 //! | ID   | invariant |
 //! |------|-----------|
-//! | D001 | no `HashMap`/`HashSet` in simulation crates |
-//! | D002 | no `Instant::now`/`SystemTime`/`thread_rng` outside lab/bench/tests |
-//! | D004 | no determinism taint reaching simulation crates through any call chain |
-//! | T001 | every constructed `Txn` reaches `.finish(...)` |
-//! | T002 | `Txn`s passed/returned/stored across functions reach `.finish(...)` |
-//! | W001 | event-handler-reachable `&mut` types are mesh-region classified |
 //! | S001 | every pub stats field appears in both `to_json` and `from_json` |
 //! | O001 | emitted trace names/categories ⊆ obs registry, and vice versa |
-//! | P001 | entered `phase!(...)` names ⊆ prof phase registry, and vice versa |
-//! | L000 | `pimdsm-lint:` directives are well-formed |
 //!
-//! The per-function rules work straight off [`scan`]'s masked text; the
-//! cross-function rules (D004/T002/W001) run on [`graph`]'s symbol
-//! table and resolved call graph, built once per [`run_all`].
-//! [`semantic`] additionally renders the `--audit shared-state` JSON
-//! report, and [`emit`] the `--format json` diagnostics document.
-//!
-//! Suppression: `// pimdsm-lint: allow(D001, "reason")` on the offending
-//! line, or alone on the line directly above it. The reason is mandatory.
+//! It is dependency-free by design (the build environment is offline),
+//! so instead of a `syn` AST it uses a masking lexer plus just enough
+//! structure extraction; see [`scan`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod emit;
-pub mod graph;
 pub mod rules;
 pub mod scan;
-pub mod semantic;
 
 pub use rules::RULES;
 use scan::SourceFile;
 
-/// Crates whose `src/` is simulation path for rule scoping.
+/// Crates whose `src/` is simulation path: the trace emitters O001 reads.
 pub const SIM_CRATES: &[&str] = &[
     "engine",
     "faults",
@@ -62,7 +42,7 @@ pub const SIM_CRATES: &[&str] = &[
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule id (`D001`, …).
+    /// Stable rule id (`S001`, `O001`).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub rel: String,
@@ -90,17 +70,15 @@ pub struct FileEntry {
     /// Owning crate, named by its `crates/<name>` directory (`core` for
     /// the `pimdsm` package); the workspace-root harness is `repro`.
     pub krate: String,
-    /// Whether the file is test/bench/example code (rules D001/D002/T001
-    /// and the O001 emission check skip those; `#[cfg(test)]` modules
-    /// inside `src/` are additionally skipped per-region).
+    /// Whether the file is test/bench/example code (both rules skip
+    /// those; `#[cfg(test)]` modules inside `src/` are additionally
+    /// skipped per-region).
     pub is_test_code: bool,
 }
 
 /// The scanned workspace.
 #[derive(Debug)]
 pub struct Workspace {
-    /// Workspace root directory.
-    pub root: PathBuf,
     /// Scanned files, in deterministic (sorted-path) order.
     pub files: Vec<FileEntry>,
 }
@@ -118,10 +96,7 @@ impl Workspace {
         let mut paths = Vec::new();
         walk(root, &mut paths)?;
         paths.sort();
-        let mut ws = Workspace {
-            root: root.to_path_buf(),
-            files: Vec::new(),
-        };
+        let mut ws = Workspace { files: Vec::new() };
         for path in paths {
             let rel = path
                 .strip_prefix(root)
@@ -129,35 +104,21 @@ impl Workspace {
                 .to_string_lossy()
                 .replace('\\', "/");
             let raw = std::fs::read_to_string(&path)?;
-            ws.add_source(path, rel, raw);
+            let (krate, is_test_code) = classify(&rel);
+            ws.files.push(FileEntry {
+                file: SourceFile::parse(rel, raw),
+                krate,
+                is_test_code,
+            });
         }
         Ok(ws)
     }
 
-    /// An empty workspace (for tests building synthetic inputs).
-    pub fn empty(root: &Path) -> Workspace {
-        Workspace {
-            root: root.to_path_buf(),
-            files: Vec::new(),
-        }
-    }
-
-    /// Adds one source text, classifying it from its relative path.
-    pub fn add_source(&mut self, path: PathBuf, rel: String, raw: String) {
-        let (krate, is_test_code) = classify(&rel);
+    /// Adds a source as if it lived in `krate`'s `src/` — used by the
+    /// fixture tests to scan a known-bad snippet in a given crate.
+    pub fn add_source_as(&mut self, rel: String, raw: String, krate: &str) {
         self.files.push(FileEntry {
-            file: SourceFile::parse(path, rel, raw),
-            krate,
-            is_test_code,
-        });
-    }
-
-    /// Adds a source with an explicit classification — used by the
-    /// fixture tests to scan a known-bad snippet *as if* it lived in a
-    /// given crate's `src/`.
-    pub fn add_source_as(&mut self, path: PathBuf, rel: String, raw: String, krate: &str) {
-        self.files.push(FileEntry {
-            file: SourceFile::parse(path, rel, raw),
+            file: SourceFile::parse(rel, raw),
             krate: krate.to_string(),
             is_test_code: false,
         });
@@ -195,35 +156,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs every rule and filters out findings suppressed by a well-formed
-/// allow directive. The result is sorted by `(file, line, rule)`.
+/// Runs every rule. The result is sorted by `(file, line, rule)`.
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
-    let graph = graph::CallGraph::build(ws);
-    let mut diags: Vec<Diagnostic> = [
-        rules::d001(ws),
-        rules::d002(ws),
-        rules::d003(ws),
-        rules::t001(ws),
-        rules::s001(ws),
-        rules::o001(ws),
-        rules::p001(ws),
-        rules::l000(ws),
-        semantic::t002(ws, &graph),
-        semantic::d004(ws, &graph),
-        semantic::w001(ws, &graph),
-    ]
-    .into_iter()
-    .flatten()
-    .filter(|d| {
-        // L000 (a broken directive) cannot be suppressed by a directive.
-        d.rule == "L000"
-            || !ws
-                .files
-                .iter()
-                .find(|e| e.file.rel == d.rel)
-                .is_some_and(|e| e.file.is_allowed(d.rule, d.line))
-    })
-    .collect();
+    let mut diags: Vec<Diagnostic> = [rules::s001(ws), rules::o001(ws)].concat();
     diags.sort_by(|a, b| (&a.rel, a.line, a.rule).cmp(&(&b.rel, b.line, b.rule)));
     diags.dedup();
     diags

@@ -1,26 +1,21 @@
 //! CLI driver: `cargo run -p pimdsm-lint [-- --root <dir>] [--list]`.
 //!
-//! Exits 0 when the workspace has zero unsuppressed violations, 1
-//! otherwise (and 2 on usage/I/O errors). All rules are deny-level; the
-//! only way to silence a finding is the inline
-//! `// pimdsm-lint: allow(<rule>, "reason")` escape hatch.
-//!
-//! `--format json` swaps the human report for the stable
-//! `pimdsm-lint-diagnostics-v1` document (CI uploads it as an artifact);
-//! `--audit shared-state` skips the rules entirely and prints the
-//! `pimdsm-lint-audit-v1` shared-state write inventory, the input
-//! document for ROADMAP item 2's parallel engine.
+//! Exits 0 when the workspace has zero violations, 1 otherwise (and 2 on
+//! usage/I/O errors). Both rules are deny-level and have no suppression
+//! syntax: fix the source or the registry.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pimdsm_lint::{emit, find_workspace_root, graph, run_all, semantic, Workspace, RULES};
+use pimdsm_lint::{find_workspace_root, run_all, Workspace, RULES};
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a command-line tool reads its own arguments"
+)]
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut json = false;
-    let mut audit: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -28,27 +23,6 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("--root requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref() {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                other => {
-                    eprintln!(
-                        "--format requires `text` or `json` (got {})",
-                        other.unwrap_or("nothing")
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--audit" => match args.next().as_deref() {
-                Some("shared-state") => audit = Some("shared-state".to_string()),
-                other => {
-                    eprintln!(
-                        "--audit requires `shared-state` (got {})",
-                        other.unwrap_or("nothing")
-                    );
                     return ExitCode::from(2);
                 }
             },
@@ -61,17 +35,11 @@ fn main() -> ExitCode {
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "pimdsm-lint: determinism & protocol-invariant static analysis\n\n\
-                     USAGE: pimdsm-lint [--root <workspace-dir>] [--list] [--quiet]\n\
-                            [--format text|json] [--audit shared-state]\n\n\
+                    "pimdsm-lint: trace-vocabulary and report-schema checks\n\n\
+                     USAGE: pimdsm-lint [--root <workspace-dir>] [--list] [--quiet]\n\n\
                      --root    workspace to scan (default: nearest [workspace] above cwd)\n\
                      --list    print the rule table and exit\n\
-                     --quiet   suppress the per-finding lines, print only the summary\n\
-                     --format  diagnostic output format: text (default) or the stable\n\
-                               pimdsm-lint-diagnostics-v1 JSON document\n\
-                     --audit   print an audit report instead of running the rules;\n\
-                               `shared-state` emits the pimdsm-lint-audit-v1 JSON\n\
-                               inventory of &mut paths from the engine event handlers"
+                     --quiet   suppress the per-finding lines, print only the summary"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -102,22 +70,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(what) = audit {
-        debug_assert_eq!(what, "shared-state");
-        let graph = graph::CallGraph::build(&ws);
-        print!("{}", semantic::shared_state_audit(&ws, &graph));
-        return ExitCode::SUCCESS;
-    }
-
     let diags = run_all(&ws);
-    if json {
-        print!("{}", emit::diagnostics_json(&ws, &diags));
-        return if diags.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     if !quiet {
         for d in &diags {
             println!("{d}");

@@ -1,322 +1,31 @@
 //! The rule set.
 //!
-//! Every rule has a stable ID, emits `file:line` diagnostics, and honors
-//! the `// pimdsm-lint: allow(<rule>, "<reason>")` escape hatch (applied
-//! by the driver in [`crate::run_all`], not here).
+//! Every rule has a stable ID and emits `file:line` diagnostics. Both
+//! relate string contents across files — a JSON key to a struct field, a
+//! trace literal to a registry entry — which is why they live here and
+//! not in the compiler or `clippy.toml`.
 
 use std::collections::BTreeSet;
 
-use crate::scan::{find_keyword, is_ident_char, match_paren, split_args, FnSpan, SourceFile};
-use crate::{Diagnostic, FileEntry, Workspace, SIM_CRATES};
+use crate::scan::{find_keyword, is_ident_char, match_paren, split_args, SourceFile};
+use crate::{Diagnostic, Workspace, SIM_CRATES};
 
 /// Rule table: `(id, one-line description)` — the contract DESIGN.md
 /// documents and `pimdsm-lint --list` prints.
 pub const RULES: &[(&str, &str)] = &[
     (
-        "D001",
-        "no unordered collections (HashMap/HashSet) in simulation crates; use BTreeMap/BTreeSet/Vec",
-    ),
-    (
-        "D002",
-        "no wall-clock or ambient randomness (Instant::now, SystemTime, thread_rng, RandomState) outside lab/bench/test code",
-    ),
-    (
-        "D003",
-        "no BinaryHeap in simulation crates (use the engine's bucket queue); arena `slab` fields must expose iter_deterministic()",
-    ),
-    (
-        "D004",
-        "determinism taint: wall-clock/randomness/env/thread-id/pointer-derived values must not reach simulation crates through any call chain",
-    ),
-    (
-        "T001",
-        "every function that constructs a Txn must reach .finish(...) on its return paths",
-    ),
-    (
-        "T002",
-        "interprocedural Txn escape: by-value Txn params, Txn-producing call sites and struct fields must reach .finish(...) across the call graph",
+        "O001",
+        "every trace event name/category emitted must be registered in pimdsm-obs (and vice versa)",
     ),
     (
         "S001",
         "every pub stats field must appear in both to_json and from_json of its struct",
     ),
-    (
-        "O001",
-        "every trace event name/category emitted must be registered in pimdsm-obs (and vice versa)",
-    ),
-    (
-        "P001",
-        "every prof::phase!(...) name must be registered in pimdsm-prof's phase registry (and vice versa)",
-    ),
-    (
-        "W001",
-        "shared-state audit: every &mut type reachable from the engine event handlers must be classified into a mesh-region bucket",
-    ),
-    (
-        "L000",
-        "pimdsm-lint directives themselves must be well-formed: allow(<RULE>, \"reason\")",
-    ),
 ];
 
-/// Crates whose `src/` is simulation path: a nondeterministic collection
-/// here can leak into simulated time.
+/// Crates whose `src/` is simulation path, where the trace emitters live.
 fn is_sim(krate: &str) -> bool {
     SIM_CRATES.contains(&krate)
-}
-
-/// Crates allowed to read wall clocks / entropy: orchestration and bench
-/// tooling, the host-side profiler (its wall times live in explicitly
-/// non-deterministic fields), the analyzer itself, and the offline
-/// dependency shims.
-fn d002_exempt(krate: &str) -> bool {
-    matches!(
-        krate,
-        "lab" | "bench" | "prof" | "lint" | "criterion-shim" | "proptest-shim"
-    )
-}
-
-/// D001 — unordered collections in simulation crates.
-pub fn d001(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for entry in &ws.files {
-        if !is_sim(&entry.krate) || entry.is_test_code {
-            continue;
-        }
-        for pat in ["HashMap", "HashSet"] {
-            for off in find_keyword(&entry.file.masked, pat) {
-                if entry.file.in_test_region(off) {
-                    continue;
-                }
-                out.push(Diagnostic {
-                    rule: "D001",
-                    rel: entry.file.rel.clone(),
-                    line: entry.file.line_of(off),
-                    msg: format!(
-                        "unordered `{pat}` in simulation crate `{}`: iteration order is per-process random and can leak into simulated time; use BTreeMap/BTreeSet/Vec",
-                        entry.krate
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// D002 — wall-clock time and ambient randomness outside tooling.
-pub fn d002(ws: &Workspace) -> Vec<Diagnostic> {
-    const PATTERNS: &[&str] = &[
-        "Instant::now",
-        "SystemTime",
-        "thread_rng",
-        "rand::random",
-        "RandomState",
-    ];
-    let mut out = Vec::new();
-    for entry in &ws.files {
-        if d002_exempt(&entry.krate) || entry.is_test_code {
-            continue;
-        }
-        for pat in PATTERNS {
-            for off in find_pattern(&entry.file.masked, pat) {
-                if entry.file.in_test_region(off) {
-                    continue;
-                }
-                out.push(Diagnostic {
-                    rule: "D002",
-                    rel: entry.file.rel.clone(),
-                    line: entry.file.line_of(off),
-                    msg: format!(
-                        "`{pat}` in crate `{}`: wall-clock time and ambient randomness are nondeterministic; thread simulated cycles / pimdsm_engine::rng through instead",
-                        entry.krate
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// D003 — hot-path data-structure discipline in simulation crates.
-///
-/// Two checks. (a) No `BinaryHeap`: equal-priority pops come out in
-/// heap-shape order (insertion-history dependent), and its per-push node
-/// churn allocates on the hottest simulator path —
-/// `pimdsm_engine::EventQueue` (a bucket calendar with explicit
-/// `(time, seq)` FIFO ties) is the replacement. (b) A file that declares
-/// an arena (a field named `slab`) must expose an `iter_deterministic()`
-/// accessor: slab sweeps otherwise tempt callers into ad-hoc orders
-/// (free-list order, occupancy order) that leak insertion history into
-/// simulated time.
-pub fn d003(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for entry in &ws.files {
-        if !is_sim(&entry.krate) || entry.is_test_code {
-            continue;
-        }
-        for off in find_keyword(&entry.file.masked, "BinaryHeap") {
-            if entry.file.in_test_region(off) {
-                continue;
-            }
-            out.push(Diagnostic {
-                rule: "D003",
-                rel: entry.file.rel.clone(),
-                line: entry.file.line_of(off),
-                msg: format!(
-                    "`BinaryHeap` in simulation crate `{}`: equal-priority pops depend on heap shape and every push allocates; use pimdsm_engine::EventQueue (deterministic (time, seq) order, pooled buckets)",
-                    entry.krate
-                ),
-            });
-        }
-        let slab_uses: Vec<usize> = find_keyword(&entry.file.masked, "slab")
-            .into_iter()
-            .filter(|&off| !entry.file.in_test_region(off))
-            .collect();
-        if !slab_uses.is_empty() && !entry.file.masked.contains("iter_deterministic(") {
-            out.push(Diagnostic {
-                rule: "D003",
-                rel: entry.file.rel.clone(),
-                line: entry.file.line_of(slab_uses[0]),
-                msg: format!(
-                    "arena `slab` in simulation crate `{}` has no `iter_deterministic()` accessor: without one canonical index order, slab sweeps leak insertion history into simulated time",
-                    entry.krate
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// T001 — a constructed `Txn` must reach `.finish(...)`.
-///
-/// Source-level approximation of "on all return paths": the body must
-/// call `.finish(` at least once, and every `return` statement *after*
-/// the first construction must either call `.finish(` itself or move the
-/// transaction variable onward (a callee then owns finishing it). A
-/// dropped `Txn` silently loses the walk's span, statistics, and the
-/// breakdown-sums-to-total guarantee.
-pub fn t001(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for entry in &ws.files {
-        if !is_sim(&entry.krate) || entry.is_test_code {
-            continue;
-        }
-        if !entry.file.masked.contains("Txn::start") {
-            continue;
-        }
-        for f in entry.file.fns() {
-            if entry.file.in_test_region(f.start) {
-                continue;
-            }
-            out.extend(check_txn_fn(entry, &f));
-        }
-    }
-    out
-}
-
-fn check_txn_fn(entry: &FileEntry, f: &FnSpan) -> Vec<Diagnostic> {
-    let body = &entry.file.masked[f.body_start..f.body_end];
-    let starts = find_pattern(body, "Txn::start");
-    if starts.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    if !body.contains(".finish(") {
-        // Report every construction site, not just the first: each is an
-        // independently dropped walk.
-        for &s in &starts {
-            out.push(Diagnostic {
-                rule: "T001",
-                rel: entry.file.rel.clone(),
-                line: entry.file.line_of(f.body_start + s),
-                msg: format!(
-                    "`{}` constructs a Txn but never calls .finish(...): the walk's trace span, read statistics and latency breakdown are silently dropped",
-                    f.name
-                ),
-            });
-        }
-        return out;
-    }
-    // Per-construction binding variable: `let [mut] tx = Txn::start(..)`.
-    // Resolved against each construction's own statement head, so a
-    // second construction shadowing the first gets its own entry instead
-    // of all checks keying off the first `let`.
-    let bindings: Vec<Option<String>> = starts.iter().map(|&s| txn_binding_var(body, s)).collect();
-
-    // Shadowing drop: construction `i`'s binding is rebound by a later
-    // construction while the first walk was never touched in between —
-    // the first Txn is dropped at the rebind, with no return statement
-    // involved. Reported against construction `i` (the dropped walk).
-    for (i, &s) in starts.iter().enumerate() {
-        let Some(v) = bindings[i].as_deref() else {
-            continue;
-        };
-        let Some(&s2) = starts
-            .iter()
-            .skip(i + 1)
-            .find(|&&s2| txn_binding_var(body, s2).as_deref() == Some(v))
-        else {
-            continue;
-        };
-        let seg_start = body[s..].find(';').map_or(body.len(), |p| s + p + 1);
-        let seg_end = body[..s2].rfind([';', '{', '}']).map_or(s2, |p| p + 1);
-        let untouched =
-            seg_start >= seg_end || find_keyword(&body[seg_start..seg_end], v).is_empty();
-        if untouched {
-            out.push(Diagnostic {
-                rule: "T001",
-                rel: entry.file.rel.clone(),
-                line: entry.file.line_of(f.body_start + s),
-                msg: format!(
-                    "Txn bound to `{v}` in `{}` is shadowed by a later `let {v} = Txn::start(...)` without being finished or moved: the first walk is dropped at the rebind",
-                    f.name
-                ),
-            });
-        }
-    }
-
-    for ret in find_keyword(body, "return") {
-        if ret < starts[0] {
-            continue;
-        }
-        let stmt_end = body[ret..].find(';').map_or(body.len(), |p| ret + p);
-        let stmt = &body[ret..stmt_end];
-        let finishes = stmt.contains(".finish(");
-        let moves_txn = starts.iter().zip(&bindings).any(|(&s, v)| {
-            s < ret
-                && v.as_deref()
-                    .is_some_and(|v| !find_keyword(stmt, v).is_empty())
-        });
-        if !finishes && !moves_txn {
-            out.push(Diagnostic {
-                rule: "T001",
-                rel: entry.file.rel.clone(),
-                line: entry.file.line_of(f.body_start + ret),
-                msg: format!(
-                    "return path in `{}` after Txn::start neither calls .finish(...) nor moves the transaction: the in-flight walk is dropped unaccounted",
-                    f.name
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// The variable bound by the `let` statement a `Txn::start` at `at`
-/// belongs to, if that construction is directly let-bound.
-fn txn_binding_var(body: &str, at: usize) -> Option<String> {
-    let stmt_start = body[..at].rfind([';', '{', '}']).map_or(0, |p| p + 1);
-    let head = body[stmt_start..at].trim();
-    let rest = head.strip_prefix("let")?;
-    if !rest.starts_with(char::is_whitespace) || !head.ends_with('=') {
-        return None;
-    }
-    let rest = rest.trim_start();
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-    let name: String = rest
-        .chars()
-        .take_while(|&c| is_ident_char(c as u8))
-        .collect();
-    (!name.is_empty()).then_some(name)
 }
 
 /// S001 — report-schema sync: every `pub` field of a struct that has both
@@ -520,128 +229,6 @@ pub fn o001(ws: &Workspace) -> Vec<Diagnostic> {
     out
 }
 
-/// P001 — profiling-phase registry sync.
-///
-/// `pimdsm_prof::phase!` panics at runtime on a name missing from
-/// `pimdsm_prof::phase::registry::PHASES` — this rule moves that failure
-/// to lint time, and conversely flags registered phases no non-test code
-/// ever enters (stale entries that would clutter every bench document).
-pub fn p001(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let Some(phases) = load_phase_registry(ws) else {
-        out.push(Diagnostic {
-            rule: "P001",
-            rel: "crates/prof/src/phase.rs".into(),
-            line: 1,
-            msg: "phase registry (registry::PHASES) not found in pimdsm-prof".into(),
-        });
-        return out;
-    };
-
-    let mut entered: BTreeSet<String> = BTreeSet::new();
-    const NEEDLE: &str = "phase!(";
-    for entry in &ws.files {
-        // The prof crate holds the macro definition, the registry itself,
-        // and doc examples — not real instrumentation sites.
-        if entry.krate == "prof" || entry.is_test_code {
-            continue;
-        }
-        let file = &entry.file;
-        let mut search = 0usize;
-        while let Some(rel_off) = file.masked[search..].find(NEEDLE) {
-            let at = search + rel_off;
-            let open = at + NEEDLE.len() - 1;
-            search = open + 1;
-            // `my_phase!(` is someone else's macro.
-            if at > 0 && is_ident_char(file.masked.as_bytes()[at - 1]) {
-                continue;
-            }
-            if file.in_test_region(at) {
-                continue;
-            }
-            let Some(close) = match_paren(&file.masked, open) else {
-                continue;
-            };
-            match literal_in(file, open + 1, close) {
-                Some(value) => {
-                    if phases.contains(&value) {
-                        entered.insert(value);
-                    } else {
-                        out.push(Diagnostic {
-                            rule: "P001",
-                            rel: file.rel.clone(),
-                            line: file.line_of(at),
-                            msg: format!(
-                                "profiling phase \"{value}\" is not registered in pimdsm_prof::phase::registry::PHASES — entering it panics at runtime"
-                            ),
-                        });
-                    }
-                }
-                None => out.push(Diagnostic {
-                    rule: "P001",
-                    rel: file.rel.clone(),
-                    line: file.line_of(at),
-                    msg: "phase!(...) takes a string literal so the phase set is statically checkable; found a non-literal argument"
-                        .into(),
-                }),
-            }
-        }
-    }
-
-    for value in phases.iter() {
-        if !entered.contains(value) {
-            out.push(Diagnostic {
-                rule: "P001",
-                rel: "crates/prof/src/phase.rs".into(),
-                line: 1,
-                msg: format!(
-                    "registered profiling phase \"{value}\" is never entered by any phase!(...) outside tests (stale registry entry)"
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Extracts `registry::PHASES` from the prof phase module.
-fn load_phase_registry(ws: &Workspace) -> Option<BTreeSet<String>> {
-    let file = ws
-        .files
-        .iter()
-        .map(|e| &e.file)
-        .find(|f| f.rel.ends_with("prof/src/phase.rs"))?;
-    let at = file.masked.find("pub const PHASES")?;
-    // Skip past the `=` so the `[` of the `&[&str]` type annotation is
-    // not mistaken for the array itself.
-    let eq = at + file.masked[at..].find('=')?;
-    let open = eq + file.masked[eq..].find('[')?;
-    let close = open + file.masked[open..].find(']')?;
-    Some(
-        file.strings
-            .iter()
-            .filter(|s| s.offset > open && s.offset < close)
-            .map(|s| s.value.clone())
-            .collect(),
-    )
-}
-
-/// L000 — malformed `pimdsm-lint:` directives anywhere in the workspace.
-pub fn l000(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for entry in &ws.files {
-        for bad in &entry.file.bad_allows {
-            out.push(Diagnostic {
-                rule: "L000",
-                rel: entry.file.rel.clone(),
-                line: bad.line,
-                msg: "malformed pimdsm-lint directive: expected `pimdsm-lint: allow(<RULE>, \"non-empty reason\")`"
-                    .into(),
-            });
-        }
-    }
-    out
-}
-
 /// Extracts `registry::CATEGORIES` and `registry::EVENT_NAMES` from the
 /// obs trace module.
 fn load_registry(ws: &Workspace) -> Option<(BTreeSet<String>, BTreeSet<String>)> {
@@ -690,23 +277,4 @@ fn literal_in(file: &SourceFile, start: usize, end: usize) -> Option<String> {
         .iter()
         .find(|s| s.offset >= start && s.offset < end)
         .map(|s| s.value.clone())
-}
-
-/// Like [`find_keyword`] but for multi-token patterns such as
-/// `Instant::now` — boundaries are checked only at the pattern's ends.
-pub(crate) fn find_pattern(text: &str, pat: &str) -> Vec<usize> {
-    let b = text.as_bytes();
-    let mut out = Vec::new();
-    let mut search = 0usize;
-    while let Some(rel) = text[search..].find(pat) {
-        let at = search + rel;
-        let before_ok = at == 0 || !is_ident_char(b[at - 1]);
-        let after = at + pat.len();
-        let after_ok = after >= b.len() || !is_ident_char(b[after]);
-        if before_ok && after_ok {
-            out.push(at);
-        }
-        search = at + pat.len();
-    }
-    out
 }

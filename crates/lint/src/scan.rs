@@ -7,10 +7,7 @@
 //! tripping over `"HashMap"` inside a string or a `{` inside a comment.
 //! On top of the masked text it extracts just enough structure for the
 //! rules: function bodies, `impl` blocks, struct fields, `#[cfg(test)]`
-//! regions, string-literal spans, and inline allow-directive comments.
-
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+//! regions and string-literal spans.
 
 /// A recorded string literal: byte offset of the opening quote and the
 /// raw (unescaped-as-written) contents between the quotes.
@@ -20,20 +17,6 @@ pub struct StrLit {
     pub offset: usize,
     /// Literal contents, exactly as written (escapes not processed).
     pub value: String,
-}
-
-/// A `// pimdsm-lint: allow(RULE, "reason")` directive.
-#[derive(Debug, Clone)]
-pub struct AllowDirective {
-    /// 1-indexed line the directive comment sits on.
-    pub line: usize,
-    /// Rule id being suppressed, e.g. `D001`.
-    pub rule: String,
-    /// The justification string (may be empty if malformed).
-    pub reason: String,
-    /// Whether the directive's line holds only the comment, in which case
-    /// it suppresses the *next* line instead of its own.
-    pub own_line: bool,
 }
 
 /// Byte range of one function: `name`, and the `{}` body span
@@ -74,8 +57,6 @@ pub struct StructSpan {
 /// One scanned source file.
 #[derive(Debug)]
 pub struct SourceFile {
-    /// Absolute path on disk.
-    pub path: PathBuf,
     /// Workspace-relative path with forward slashes (used in diagnostics).
     pub rel: String,
     /// Original text.
@@ -86,31 +67,23 @@ pub struct SourceFile {
     line_starts: Vec<usize>,
     /// All string literals, in file order.
     pub strings: Vec<StrLit>,
-    /// Allow directives, keyed by the line they *suppress*.
-    pub allows: BTreeMap<usize, Vec<AllowDirective>>,
-    /// Malformed allow directives (missing rule or empty reason).
-    pub bad_allows: Vec<AllowDirective>,
     /// Byte ranges covered by `#[cfg(test)]` items (usually `mod tests`).
     pub test_regions: Vec<(usize, usize)>,
 }
 
 impl SourceFile {
     /// Scans `raw`, producing the masked text and structural indexes.
-    pub fn parse(path: PathBuf, rel: String, raw: String) -> SourceFile {
+    pub fn parse(rel: String, raw: String) -> SourceFile {
         let (masked, strings) = mask(&raw);
         let line_starts = line_starts(&raw);
         let mut f = SourceFile {
-            path,
             rel,
             raw,
             masked,
             line_starts,
             strings,
-            allows: BTreeMap::new(),
-            bad_allows: Vec::new(),
             test_regions: Vec::new(),
         };
-        f.collect_allows();
         f.test_regions = f.collect_test_regions();
         f
     }
@@ -128,18 +101,6 @@ impl SourceFile {
         self.test_regions
             .iter()
             .any(|&(s, e)| offset >= s && offset < e)
-    }
-
-    /// Whether a diagnostic for `rule` at `line` is suppressed by an
-    /// allow directive on that line or on a directive-only line above it.
-    pub fn is_allowed(&self, rule: &str, line: usize) -> bool {
-        let hit = |l: usize, require_own_line: bool| {
-            self.allows.get(&l).is_some_and(|ds| {
-                ds.iter()
-                    .any(|d| d.rule == rule && (!require_own_line || d.own_line))
-            })
-        };
-        hit(line, false) || (line > 1 && hit(line - 1, true))
     }
 
     /// Every function defined in the file (including nested/test ones).
@@ -252,49 +213,6 @@ impl SourceFile {
         out
     }
 
-    /// Every `struct` with a braced body (any visibility), as
-    /// `(name, body_start, body_end)` byte spans — the body is the text
-    /// between the braces. Tuple and unit structs are skipped.
-    pub fn struct_spans(&self) -> Vec<(String, usize, usize)> {
-        let b = self.masked.as_bytes();
-        let mut out = Vec::new();
-        for start in find_keyword(&self.masked, "struct") {
-            let mut i = start + 6;
-            while i < b.len() && (b[i] as char).is_whitespace() {
-                i += 1;
-            }
-            let name_start = i;
-            while i < b.len() && is_ident_char(b[i]) {
-                i += 1;
-            }
-            let name = self.masked[name_start..i].to_string();
-            if name.is_empty() {
-                continue;
-            }
-            let mut open = None;
-            let mut angle = 0i32;
-            while i < b.len() {
-                match b[i] {
-                    b'<' => angle += 1,
-                    b'>' => angle -= 1,
-                    b'(' | b';' if angle == 0 => break,
-                    b'{' if angle == 0 => {
-                        open = Some(i);
-                        break;
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            let Some(open) = open else { continue };
-            let Some(close) = match_brace(&self.masked, open) else {
-                continue;
-            };
-            out.push((name, open + 1, close));
-        }
-        out
-    }
-
     /// Every `pub struct` with named fields, with its `pub` field names.
     pub fn pub_structs(&self) -> Vec<StructSpan> {
         let b = self.masked.as_bytes();
@@ -346,47 +264,6 @@ impl SourceFile {
         out
     }
 
-    fn collect_allows(&mut self) {
-        let mut off = 0usize;
-        let raw = std::mem::take(&mut self.raw);
-        for (idx, line_text) in raw.split('\n').enumerate() {
-            let line = idx + 1;
-            if let Some(pos) = line_text.find("pimdsm-lint:") {
-                // The marker must live inside a line comment, and only
-                // counts as a directive when an `allow(` follows — prose
-                // mentions of the tool name are not directives.
-                let in_comment = line_text[..pos].contains("//");
-                let rest = &line_text[pos + "pimdsm-lint:".len()..];
-                if in_comment && rest.trim_start().starts_with("allow(") {
-                    let own_line = line_text.trim_start().starts_with("//");
-                    match parse_allow(rest) {
-                        Some((rule, reason)) if !reason.trim().is_empty() => {
-                            let d = AllowDirective {
-                                line,
-                                rule,
-                                reason,
-                                own_line,
-                            };
-                            self.allows.entry(line).or_default().push(d);
-                        }
-                        other => {
-                            let (rule, reason) = other.unwrap_or((String::new(), String::new()));
-                            self.bad_allows.push(AllowDirective {
-                                line,
-                                rule,
-                                reason,
-                                own_line,
-                            });
-                        }
-                    }
-                }
-            }
-            off += line_text.len() + 1;
-        }
-        let _ = off;
-        self.raw = raw;
-    }
-
     /// `#[cfg(test)]` followed (over whitespace and further attributes)
     /// by a braced item marks that item's span as test-only.
     fn collect_test_regions(&self) -> Vec<(usize, usize)> {
@@ -424,21 +301,6 @@ impl SourceFile {
         }
         out
     }
-}
-
-/// Parses ` allow(RULE, "reason")` (leading space optional). Returns the
-/// rule id and reason; `None` when the shape is unrecognizable.
-fn parse_allow(rest: &str) -> Option<(String, String)> {
-    let rest = rest.trim_start();
-    let body = rest.strip_prefix("allow(")?;
-    let close = body.find(')')?;
-    let inner = &body[..close];
-    let (rule, reason) = match inner.find(',') {
-        Some(c) => (&inner[..c], inner[c + 1..].trim()),
-        None => (inner, ""),
-    };
-    let reason = reason.trim_matches('"').to_string();
-    Some((rule.trim().to_string(), reason))
 }
 
 /// Field names of a struct body: `pub name: Type,` entries at depth 0.
@@ -768,7 +630,7 @@ mod tests {
     use super::*;
 
     fn file(src: &str) -> SourceFile {
-        SourceFile::parse(PathBuf::from("/t.rs"), "t.rs".into(), src.to_string())
+        SourceFile::parse("t.rs".into(), src.to_string())
     }
 
     #[test]
@@ -833,18 +695,6 @@ mod tests {
         let at = f.raw.find("let x").unwrap();
         assert!(f.in_test_region(at));
         assert!(!f.in_test_region(0));
-    }
-
-    #[test]
-    fn allow_directives_parse_and_apply() {
-        let f = file(
-            "use foo; // pimdsm-lint: allow(D001, \"interned, never iterated\")\n// pimdsm-lint: allow(D002, \"bench only\")\nlet t = now();\nlet bad = 1; // pimdsm-lint: allow(D001)\n",
-        );
-        assert!(f.is_allowed("D001", 1));
-        assert!(!f.is_allowed("D002", 1));
-        assert!(f.is_allowed("D002", 3)); // own-line directive covers next line
-        assert_eq!(f.bad_allows.len(), 1, "reason-less allow is malformed");
-        assert_eq!(f.bad_allows[0].line, 4);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The fixture corpus: every rule must fire on its known-bad snippet
-//! with the right rule ID and span, the allow escape hatch must work,
-//! and the real workspace must self-scan clean.
+//! with the right rule ID and span, and the real workspace must
+//! self-scan clean.
 
 use std::path::{Path, PathBuf};
 
@@ -24,12 +24,10 @@ fn fixture_path(name: &str) -> PathBuf {
 /// Scans the real workspace plus one fixture file classified as `krate`
 /// `src/` code, returning only the diagnostics from the fixture.
 fn scan_fixture(name: &str, krate: &str) -> Vec<Diagnostic> {
-    let root = root();
-    let mut ws = Workspace::load(&root).expect("scan workspace");
-    let path = fixture_path(name);
+    let mut ws = Workspace::load(&root()).expect("scan workspace");
     let rel = format!("crates/{krate}/src/{name}");
-    let raw = std::fs::read_to_string(&path).expect("read fixture");
-    ws.add_source_as(path, rel.clone(), raw, krate);
+    let raw = std::fs::read_to_string(fixture_path(name)).expect("read fixture");
+    ws.add_source_as(rel.clone(), raw, krate);
     run_all(&ws).into_iter().filter(|d| d.rel == rel).collect()
 }
 
@@ -47,112 +45,12 @@ fn workspace_self_scan_is_clean() {
     let diags = run_all(&ws);
     assert!(
         diags.is_empty(),
-        "workspace must have zero unsuppressed violations:\n{}",
+        "workspace must have zero violations:\n{}",
         diags
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
-    );
-}
-
-#[test]
-fn d001_fires_on_unordered_collections() {
-    let diags = scan_fixture("d001_collections.rs", "mem");
-    assert!(diags.iter().all(|d| d.rule == "D001"), "{diags:?}");
-    // Import line, two field declarations, two constructors.
-    assert!(diags.len() >= 5, "one finding per use: {diags:?}");
-    let import = line_of("d001_collections.rs", "use std::collections");
-    assert!(
-        diags.iter().any(|d| d.line == import),
-        "span points at the import: {diags:?}"
-    );
-    assert!(diags[0].msg.contains("BTreeMap"), "suggests the fix");
-}
-
-#[test]
-fn d001_does_not_fire_outside_simulation_crates() {
-    let diags = scan_fixture("d001_collections.rs", "lab");
-    assert!(
-        diags.iter().all(|d| d.rule != "D001"),
-        "lab is orchestration, not sim path: {diags:?}"
-    );
-}
-
-#[test]
-fn d002_fires_on_wall_clock_and_randomness() {
-    // D004 also fires here (the same sources taint the functions); this
-    // test pins the per-site rule.
-    let diags: Vec<Diagnostic> = scan_fixture("d002_wallclock.rs", "engine")
-        .into_iter()
-        .filter(|d| d.rule == "D002")
-        .collect();
-    for needle in ["Instant::now", "SystemTime", "thread_rng"] {
-        assert!(
-            diags.iter().any(|d| d.msg.contains(needle)),
-            "missing {needle}: {diags:?}"
-        );
-    }
-    let now_line = line_of("d002_wallclock.rs", "Instant::now()");
-    assert!(diags.iter().any(|d| d.line == now_line));
-}
-
-#[test]
-fn d003_fires_on_binaryheap_and_orderless_arenas() {
-    // W001 also reaches the fixture's `push` method through method-name
-    // over-approximation; this test pins the data-structure rule.
-    let diags: Vec<Diagnostic> = scan_fixture("d003_binaryheap.rs", "mem")
-        .into_iter()
-        .filter(|d| d.rule == "D003")
-        .collect();
-    // Import, field declaration, two constructor/use sites — plus the
-    // arena-without-iter_deterministic finding.
-    assert!(diags.len() >= 4, "{diags:?}");
-    let import = line_of("d003_binaryheap.rs", "use std::collections");
-    assert!(
-        diags.iter().any(|d| d.line == import),
-        "span points at the import: {diags:?}"
-    );
-    assert!(
-        diags.iter().any(|d| d.msg.contains("EventQueue")),
-        "suggests the engine queue: {diags:?}"
-    );
-    let slab = line_of("d003_binaryheap.rs", "slab: Vec<Option<u64>>");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.line == slab && d.msg.contains("iter_deterministic")),
-        "orderless arena reported at its field: {diags:?}"
-    );
-}
-
-#[test]
-fn d003_does_not_fire_outside_simulation_crates() {
-    let diags = scan_fixture("d003_binaryheap.rs", "lab");
-    assert!(
-        diags.iter().all(|d| d.rule != "D003"),
-        "lab is orchestration, not sim path: {diags:?}"
-    );
-}
-
-#[test]
-fn t001_fires_on_unfinished_txn_walks() {
-    // T002 independently reports the never-finished construction; this
-    // test pins the per-function rule.
-    let diags: Vec<Diagnostic> = scan_fixture("t001_txn_leak.rs", "proto")
-        .into_iter()
-        .filter(|d| d.rule == "T001")
-        .collect();
-    assert_eq!(diags.len(), 2, "one per leak: {diags:?}");
-    assert_eq!(
-        diags[0].line,
-        line_of("t001_txn_leak.rs", "let mut tx = Txn::start"),
-        "never-finished walk reported at its construction"
-    );
-    assert_eq!(
-        diags[1].line,
-        line_of("t001_txn_leak.rs", "return now;"),
-        "early return reported at the return"
     );
 }
 
@@ -194,148 +92,6 @@ fn o001_covers_the_svc_crate_vocabulary() {
 }
 
 #[test]
-fn p001_fires_on_unregistered_phase_names() {
-    let diags = scan_fixture("p001_unknown_phase.rs", "lab");
-    assert!(diags.iter().all(|d| d.rule == "P001"), "{diags:?}");
-    assert_eq!(diags.len(), 1, "only the typo fires: {diags:?}");
-    assert!(diags[0].msg.contains("point.rnu"), "{diags:?}");
-    assert_eq!(
-        diags[0].line,
-        line_of("p001_unknown_phase.rs", "point.rnu\");"),
-        "span points at the bad invocation"
-    );
-}
-
-#[test]
-fn t001_shadowed_rebind_is_reported_at_the_dropped_construction() {
-    let diags: Vec<Diagnostic> = scan_fixture("t001_shadowed.rs", "proto")
-        .into_iter()
-        .filter(|d| d.rule == "T001")
-        .collect();
-    assert_eq!(diags.len(), 1, "exactly the shadowing drop: {diags:?}");
-    assert_eq!(
-        diags[0].line,
-        line_of("t001_shadowed.rs", "let tx = Txn::start(node, line, now)"),
-        "span points at the dropped (first) construction, not the rebind"
-    );
-    assert!(diags[0].msg.contains("shadowed"), "{diags:?}");
-}
-
-#[test]
-fn t002_fires_across_the_call_graph() {
-    let diags: Vec<Diagnostic> = scan_fixture("t002_escape.rs", "proto")
-        .into_iter()
-        .filter(|d| d.rule == "T002")
-        .collect();
-    // The dropped by-value parameter, the producing call site whose walk
-    // feeds it, and the struct-stored Txn.
-    assert_eq!(diags.len(), 3, "{diags:?}");
-    assert_eq!(
-        diags[0].line,
-        line_of("t002_escape.rs", "pub fn forward_and_forget"),
-        "unfinished by-value param reported at the helper: {diags:?}"
-    );
-    assert!(diags[0].msg.contains("`tx`"), "{diags:?}");
-    assert_eq!(
-        diags[1].line,
-        line_of("t002_escape.rs", "let tx = Txn::start(node, line, now)"),
-        "producing call site reported at the construction: {diags:?}"
-    );
-    assert_eq!(
-        diags[2].line,
-        line_of("t002_escape.rs", "pub txn: Txn,"),
-        "stored Txn reported at the field: {diags:?}"
-    );
-    assert!(diags[2].msg.contains("ParkedWalk"), "{diags:?}");
-    // The allow-hatch case (`ParkedAllowed`) is suppressed.
-    assert!(
-        !diags.iter().any(|d| d.msg.contains("ParkedAllowed")),
-        "justified allow suppresses the parked walk: {diags:?}"
-    );
-}
-
-#[test]
-fn d004_propagates_taint_to_transitive_callers() {
-    let diags: Vec<Diagnostic> = scan_fixture("d004_taint.rs", "core")
-        .into_iter()
-        .filter(|d| d.rule == "D004")
-        .collect();
-    // The direct toucher and its transitive caller; the allow-hatched
-    // `debug_stamp` is suppressed.
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    assert_eq!(
-        diags[0].line,
-        line_of("d004_taint.rs", "fn host_millis"),
-        "{diags:?}"
-    );
-    assert_eq!(
-        diags[1].line,
-        line_of("d004_taint.rs", "pub fn jitter_seed"),
-        "transitive caller flagged even though it never reads a clock: {diags:?}"
-    );
-    assert!(
-        diags[1].msg.contains("`jitter_seed`") && diags[1].msg.contains("`host_millis`"),
-        "message shows the taint chain: {diags:?}"
-    );
-    assert!(
-        diags[1].msg.contains("SystemTime"),
-        "message names the root source: {diags:?}"
-    );
-    assert!(
-        !diags
-            .iter()
-            .any(|d| d.line == line_of("d004_taint.rs", "pub fn debug_stamp")),
-        "justified allow suppresses the deliberate taint: {diags:?}"
-    );
-}
-
-#[test]
-fn w001_fires_on_unclassified_handler_reachable_state() {
-    let diags: Vec<Diagnostic> = scan_fixture("w001_unclassified.rs", "core")
-        .into_iter()
-        .filter(|d| d.rule == "W001")
-        .collect();
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(
-        diags[0].line,
-        line_of("w001_unclassified.rs", "pub fn twist"),
-        "{diags:?}"
-    );
-    assert!(
-        diags[0].msg.contains("`Gizmo`") && diags[0].msg.contains("mesh-region"),
-        "{diags:?}"
-    );
-    // `Whatsit::spin` is equally unclassified but carries a reasoned
-    // allow — the hatch works for W001 too.
-    assert!(
-        !diags.iter().any(|d| d.msg.contains("Whatsit")),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn allow_escape_hatch_suppresses_with_reason() {
-    let diags = scan_fixture("allow_ok.rs", "mem");
-    assert!(
-        diags.is_empty(),
-        "justified allows suppress every finding: {diags:?}"
-    );
-}
-
-#[test]
-fn reasonless_allow_is_flagged_and_does_not_suppress() {
-    let diags = scan_fixture("allow_bad.rs", "mem");
-    assert!(
-        diags.iter().any(|d| d.rule == "L000"),
-        "malformed directive reported: {diags:?}"
-    );
-    assert!(
-        diags.iter().any(|d| d.rule == "D001"),
-        "the underlying finding still fires: {diags:?}"
-    );
-}
-
-#[test]
 fn cli_exits_zero_on_clean_workspace_and_lists_rules() {
     let bin = env!("CARGO_BIN_EXE_pimdsm-lint");
     let out = std::process::Command::new(bin)
@@ -355,76 +111,9 @@ fn cli_exits_zero_on_clean_workspace_and_lists_rules() {
         .arg("--list")
         .output()
         .expect("run pimdsm-lint --list");
-    let text = String::from_utf8_lossy(&list.stdout);
-    for id in [
-        "D001", "D002", "D003", "D004", "T001", "T002", "W001", "S001", "O001", "P001",
-    ] {
-        assert!(text.contains(id), "--list names {id}");
-    }
-}
-
-#[test]
-fn cli_json_format_emits_the_stable_schema() {
-    let bin = env!("CARGO_BIN_EXE_pimdsm-lint");
-    let out = std::process::Command::new(bin)
-        .args(["--format", "json", "--root"])
-        .arg(root())
-        .output()
-        .expect("run pimdsm-lint --format json");
-    assert!(out.status.success(), "clean workspace exits 0");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("\"schema\": \"pimdsm-lint-diagnostics-v1\""));
-    assert!(text.contains("\"diagnostics\": []"), "clean scan: {text}");
-    // The allow inventory carries every suppression's mandatory reason.
-    assert!(text.contains("\"allows\": ["));
-    assert!(text.contains("\"reason\": \""));
-    for id in ["\"D004\"", "\"T002\"", "\"W001\""] {
-        assert!(text.contains(id), "rules array names {id}: {text}");
-    }
-}
-
-#[test]
-fn cli_shared_state_audit_is_nonempty_and_schema_stable() {
-    let bin = env!("CARGO_BIN_EXE_pimdsm-lint");
-    let out = std::process::Command::new(bin)
-        .args(["--audit", "shared-state", "--root"])
-        .arg(root())
-        .output()
-        .expect("run pimdsm-lint --audit shared-state");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("\"schema\": \"pimdsm-lint-audit-v1\""));
-    for root_fn in ["Machine::run", "Machine::step", "Machine::apply_fault"] {
-        assert!(text.contains(root_fn), "audit roots include {root_fn}");
-    }
-    for region in [
-        "\"driver\"",
-        "\"per_node\"",
-        "\"per_page_directory\"",
-        "\"interconnect\"",
-        "\"observability\"",
-        "\"walk_local\"",
-    ] {
-        assert!(text.contains(region), "region {region} present: {text}");
-    }
-    assert!(
-        text.contains("\"unclassified\": []"),
-        "workspace is fully classified"
-    );
-    // Deterministic: two runs render byte-identical documents, and the
-    // committed artifact matches.
-    let again = std::process::Command::new(bin)
-        .args(["--audit", "shared-state", "--root"])
-        .arg(root())
-        .output()
-        .expect("re-run audit");
-    assert_eq!(out.stdout, again.stdout, "audit output is deterministic");
-    let committed = std::fs::read_to_string(root().join("results/shared_state_audit.json"))
-        .expect("committed audit artifact");
-    assert_eq!(
-        committed.as_bytes(),
-        &out.stdout[..],
-        "results/shared_state_audit.json is stale: regenerate with \
-         `cargo run -p pimdsm-lint -- --audit shared-state > results/shared_state_audit.json`"
-    );
+    let ids: Vec<String> = String::from_utf8_lossy(&list.stdout)
+        .lines()
+        .filter_map(|l| l.split_whitespace().next().map(str::to_string))
+        .collect();
+    assert_eq!(ids, ["O001", "S001"], "--list names exactly the kept rules");
 }

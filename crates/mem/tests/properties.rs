@@ -1,6 +1,11 @@
 //! Property-based tests for the memory substrates, checking them against
 //! simple reference models.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "HashMap and HashSet are the reference models the memory structures are checked against"
+)]
+
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use proptest::prelude::*;

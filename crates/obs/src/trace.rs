@@ -163,7 +163,10 @@ impl Tracer {
 
     /// Record a complete span (`ph:"X"`).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors the Chrome trace event's fields one to one"
+    )]
     pub fn span(
         &self,
         pid: u32,

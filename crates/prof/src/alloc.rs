@@ -43,12 +43,10 @@ mod imp {
 
     use crate::phase::{current_slot, SLOTS};
 
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
     /// Allocation calls per phase slot.
-    static ALLOCS: [AtomicU64; SLOTS] = [ZERO; SLOTS];
+    static ALLOCS: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
     /// Bytes requested per phase slot.
-    static BYTES: [AtomicU64; SLOTS] = [ZERO; SLOTS];
+    static BYTES: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
     /// Live heap bytes.
     static LIVE: AtomicU64 = AtomicU64::new(0);
     /// Peak of `LIVE` since start/reset.

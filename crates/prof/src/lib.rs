@@ -33,8 +33,8 @@
 //!
 //! A *phase* is a named wall-clock scope entered with the [`phase!`]
 //! macro. Phase names are static: every name must be listed in
-//! [`phase::registry::PHASES`] (lint rule **P001** enforces the registry
-//! in both directions), which is what lets the `count-alloc` allocator
+//! [`phase::registry::PHASES`] (`phase!` rejects any other name at
+//! compile time), which is what lets the `count-alloc` allocator
 //! attribute allocations to the active phase with a fixed-size atomic
 //! table and no allocation of its own.
 
@@ -52,9 +52,9 @@ pub use phase::PhaseStats;
 /// enclosing block, wall time and an enter count are recorded on drop,
 /// and (with the `count-alloc` feature) allocations made while the phase
 /// is active on this thread are attributed to it. The name must be a
-/// string literal present in [`phase::registry::PHASES`] — lint rule
-/// P001 checks every call site statically, and [`phase::enter`] panics
-/// on an unregistered name at run time.
+/// string literal present in [`phase::registry::PHASES`]; it is resolved
+/// to its slot by [`phase::slot_of`] in a `const`, so an unregistered
+/// name is a compile error.
 ///
 /// ```
 /// fn render() {
@@ -65,7 +65,10 @@ pub use phase::PhaseStats;
 #[macro_export]
 macro_rules! phase {
     ($name:literal) => {
-        let _pimdsm_prof_phase_guard = $crate::phase::enter($name);
+        let _pimdsm_prof_phase_guard = {
+            const SLOT: $crate::phase::Slot = $crate::phase::slot_of($name);
+            $crate::phase::enter(SLOT)
+        };
     };
 }
 

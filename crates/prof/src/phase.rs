@@ -11,11 +11,18 @@
 //!
 //! Phase names are a closed vocabulary: [`registry::PHASES`]. The table
 //! is what makes the allocator's attribution allocation-free (a
-//! fixed-size atomic array indexed by phase slot), what gives bench
-//! reports a stable schema, and what lint rule **P001** checks both
-//! ways — an unregistered `phase!` name and a registered phase nothing
-//! enters are both violations. To add a phase: add the name to
-//! `PHASES` (sorted), then use it from exactly one subsystem.
+//! fixed-size atomic array indexed by phase slot) and what gives bench
+//! reports a stable schema. `phase!` resolves its name to a slot at
+//! compile time, so an unregistered name does not compile:
+//!
+//! ```compile_fail,E0080
+//! fn f() {
+//!     pimdsm_prof::phase!("no.such.phase");
+//! }
+//! ```
+//!
+//! To add a phase: add the name to `PHASES` (sorted), then use it from
+//! exactly one subsystem.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -34,11 +41,44 @@ pub mod registry {
         "suite.render",
         "svc.build",
     ];
+}
 
-    /// Whether `name` is a registered phase.
-    pub fn is_known_phase(name: &str) -> bool {
-        PHASES.binary_search(&name).is_ok()
+/// The attribution slot of a registered phase. Only [`slot_of`] makes
+/// one, so every `Slot` indexes the per-phase tables in bounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(usize);
+
+/// The attribution slot of a registered phase name. A `const fn`, so
+/// [`crate::phase!`] evaluates it at compile time.
+///
+/// # Panics
+///
+/// Panics (at compile time, inside `phase!`) if `name` is not in
+/// [`registry::PHASES`].
+pub const fn slot_of(name: &str) -> Slot {
+    let mut i = 0;
+    while i < registry::PHASES.len() {
+        if str_eq(registry::PHASES[i], name) {
+            return Slot(i + 1);
+        }
+        i += 1;
     }
+    panic!("pimdsm-prof: phase name is not in phase::registry::PHASES")
+}
+
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 /// Attribution slots: one per registered phase plus slot 0 for code
@@ -62,18 +102,19 @@ std::thread_local! {
 }
 
 /// The current thread's active attribution slot (for the allocator).
-#[cfg_attr(not(feature = "count-alloc"), allow(dead_code))]
+#[cfg_attr(
+    not(feature = "count-alloc"),
+    allow(dead_code, reason = "only the counting allocator reads the slot")
+)]
 #[inline]
 pub(crate) fn current_slot() -> usize {
     CURRENT.try_with(Cell::get).unwrap_or(0)
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
 /// Times each phase was entered, by slot. Deterministic.
-static ENTERS: [AtomicU64; SLOTS] = [ZERO; SLOTS];
+static ENTERS: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
 /// Inclusive wall nanoseconds per phase, by slot. NON-deterministic.
-static WALL_NS: [AtomicU64; SLOTS] = [ZERO; SLOTS];
+static WALL_NS: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
 
 /// An active phase scope; records on drop and restores the parent phase.
 #[derive(Debug)]
@@ -83,17 +124,13 @@ pub struct PhaseGuard {
     start: Instant,
 }
 
-/// Enters a registered phase on the current thread. Prefer the
-/// [`crate::phase!`] macro, whose literal-only argument is what lint
-/// rule P001 can check statically.
-///
-/// # Panics
-///
-/// Panics if `name` is not in [`registry::PHASES`].
-pub fn enter(name: &str) -> PhaseGuard {
-    let slot = registry::PHASES.binary_search(&name).unwrap_or_else(|_| {
-        panic!("pimdsm-prof: phase {name:?} is not in phase::registry::PHASES (rule P001)")
-    }) + 1;
+/// Enters the phase at `slot` on the current thread. Use the
+/// [`crate::phase!`] macro, which resolves the slot at compile time.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "phase wall time lands only in the non-deterministic PhaseStats::wall_ns"
+)]
+pub fn enter(Slot(slot): Slot) -> PhaseGuard {
     let prev = CURRENT.with(|c| c.replace(slot));
     PhaseGuard {
         slot,
@@ -162,8 +199,10 @@ mod tests {
             registry::PHASES.windows(2).all(|w| w[0] < w[1]),
             "sorted, no dups"
         );
-        assert!(registry::is_known_phase("point.run"));
-        assert!(!registry::is_known_phase("point.rnu"));
+        for (i, name) in registry::PHASES.iter().enumerate() {
+            assert_eq!(slot_of(name), Slot(i + 1));
+            assert_eq!(slot_name(i + 1), *name);
+        }
     }
 
     #[test]
@@ -196,7 +235,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "not in phase::registry::PHASES")]
-    fn unregistered_phase_panics() {
-        let _g = enter("no.such.phase");
+    fn unregistered_name_has_no_slot() {
+        // `phase!` turns this panic into a compile error (module docs);
+        // called at run time it still refuses the name.
+        let name = String::from("point.rnu");
+        slot_of(&name);
     }
 }

@@ -286,7 +286,7 @@ macro_rules! impl_tuple_strategy {
     ($(($($name:ident),+)),+ $(,)?) => {$(
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters name its fields")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
@@ -447,10 +447,10 @@ macro_rules! proptest {
                 let shown = format!("{:?}", generated);
                 let result: ::std::result::Result<(), $crate::TestCaseError> =
                     (|| {
-                        #[allow(unused_parens, unused_mut)]
+                        #[allow(unused_parens, unused_mut, reason = "the caller's pattern is pasted as written")]
                         let ( $($p,)+ ) = generated;
                         $body
-                        #[allow(unreachable_code)]
+                        #[allow(unreachable_code, reason = "a body may end in its own return")]
                         Ok(())
                     })();
                 if let Err(e) = result {

@@ -725,7 +725,10 @@ impl AggSystem {
     /// software handler for `occupancy` cycles (plus `mem_bytes` of Data
     /// traffic on its memory port) and replies with `reply_bytes`.
     /// Returns the cycle the reply reaches `p`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per quantity of the paper's offload cost model"
+    )]
     pub fn offload(
         &mut self,
         p: NodeId,

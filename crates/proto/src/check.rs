@@ -24,10 +24,56 @@ use pimdsm_mem::Line;
 
 use crate::agg::AggSystem;
 use crate::coma::ComaSystem;
-use crate::common::{AmState, CState};
+use crate::common::{AmState, CState, NodeId, NodeSet};
 use crate::dnode::Master;
 use crate::numa::NumaSystem;
+use crate::pnode::PNodeStore;
 use crate::system::MemSystem;
+
+/// The attraction-memory holders of one line, in node order. A fixed
+/// array with one slot per possible node, so the per-transaction oracle
+/// does not allocate and an oracle run keeps the simulation's
+/// allocation profile (`tests/alloc_budget.rs`).
+struct Holders {
+    buf: [(NodeId, AmState); NodeSet::MAX_NODES],
+    len: usize,
+}
+
+impl Holders {
+    fn as_slice(&self) -> &[(NodeId, AmState)] {
+        &self.buf[..self.len]
+    }
+}
+
+/// Collects the AM holders of `line` among `nodes`, checking on the way
+/// that each node's private caches are included in its AM.
+fn am_holders<'a>(line: Line, nodes: impl Iterator<Item = (NodeId, &'a PNodeStore)>) -> Holders {
+    let mut h = Holders {
+        buf: [(0, AmState::Shared); NodeSet::MAX_NODES],
+        len: 0,
+    };
+    for (p, ps) in nodes {
+        let am = ps.am.peek(line).copied();
+        if let Some(st) = am {
+            h.buf[h.len] = (p, st);
+            h.len += 1;
+        }
+        if let Some(c) = ps.caches.peek_state(line) {
+            assert!(
+                am.is_some(),
+                "node {p} caches line {line:#x} not present in its AM (inclusion)"
+            );
+            if c == CState::Dirty {
+                assert_eq!(
+                    am,
+                    Some(AmState::Dirty),
+                    "node {p} holds line {line:#x} dirty in cache but not in AM"
+                );
+            }
+        }
+    }
+    h
+}
 
 /// Full-sweep oracle for AGG: D-node storage invariants, every directory
 /// entry's line-level invariants, and cache/AM inclusion of every
@@ -62,32 +108,13 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
         return;
     };
     // Who holds the line, at memory and cache level.
-    let mut holders: Vec<(usize, AmState)> = Vec::new();
-    for &p in sys.p_nodes() {
-        let ps = sys.pstore_ref(p);
-        let am = ps.am.peek(line).copied();
-        if let Some(st) = am {
-            holders.push((p, st));
-        }
-        if let Some(c) = ps.caches.peek_state(line) {
-            assert!(
-                am.is_some(),
-                "node {p} caches line {line:#x} not present in its AM (inclusion)"
-            );
-            if c == CState::Dirty {
-                assert_eq!(
-                    am,
-                    Some(AmState::Dirty),
-                    "node {p} holds line {line:#x} dirty in cache but not in AM"
-                );
-            }
-        }
-    }
+    let held = am_holders(line, sys.p_nodes().iter().map(|&p| (p, sys.pstore_ref(p))));
+    let holders = held.as_slice();
 
     if let Some(k) = e.owner {
         assert_eq!(
             holders,
-            vec![(k, AmState::Dirty)],
+            [(k, AmState::Dirty)],
             "owned line {line:#x}: owner {k} must be the unique (dirty) holder"
         );
         assert_eq!(
@@ -106,7 +133,7 @@ pub(crate) fn agg_line(sys: &AggSystem, line: Line) {
     }
     // Shared (or home-only) line: holders and sharer bits agree exactly;
     // a single shared-master copy exists iff mastership is outside.
-    for &(p, st) in &holders {
+    for &(p, st) in holders {
         assert!(
             e.sharers.contains(p),
             "node {p} holds shared line {line:#x} without a sharer bit"
@@ -147,33 +174,13 @@ pub fn check_coma(sys: &ComaSystem) {
 /// Line-level COMA oracle.
 pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
     let Some(e) = sys.dir_entry(line) else { return };
-    let n = sys.n_nodes();
-    let mut holders: Vec<(usize, AmState)> = Vec::new();
-    for p in 0..n {
-        let ps = sys.pstore_ref(p);
-        let am = ps.am.peek(line).copied();
-        if let Some(st) = am {
-            holders.push((p, st));
-        }
-        if let Some(c) = ps.caches.peek_state(line) {
-            assert!(
-                am.is_some(),
-                "node {p} caches line {line:#x} not present in its AM (inclusion)"
-            );
-            if c == CState::Dirty {
-                assert_eq!(
-                    am,
-                    Some(AmState::Dirty),
-                    "node {p} holds line {line:#x} dirty in cache but not in AM"
-                );
-            }
-        }
-    }
+    let held = am_holders(line, (0..sys.n_nodes()).map(|p| (p, sys.pstore_ref(p))));
+    let holders = held.as_slice();
 
     if let Some(k) = e.owner {
         assert_eq!(
             holders,
-            vec![(k, AmState::Dirty)],
+            [(k, AmState::Dirty)],
             "owned line {line:#x}: owner {k} must be the unique (dirty) holder"
         );
         assert_eq!(
@@ -194,7 +201,7 @@ pub(crate) fn coma_line(sys: &ComaSystem, line: Line) {
         );
         return;
     }
-    for &(p, st) in &holders {
+    for &(p, st) in holders {
         assert!(
             e.sharers.contains(p),
             "node {p} holds shared line {line:#x} without a sharer bit"

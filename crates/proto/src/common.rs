@@ -24,7 +24,9 @@ pub type NodeId = usize;
 pub struct NodeSet(u64);
 
 impl NodeSet {
-    /// Maximum node id representable.
+    /// Number of representable node ids (`0..64`), and so the largest
+    /// machine the simulator supports: the lab rejects a larger thread
+    /// count at its command-line boundary.
     pub const MAX_NODES: usize = 64;
 
     /// Creates an empty set.

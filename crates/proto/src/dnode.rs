@@ -357,7 +357,10 @@ impl DNode {
     /// # Panics
     ///
     /// Panics if `line` already occupies a slot.
-    #[allow(clippy::result_unit_err)]
+    #[allow(
+        clippy::result_unit_err,
+        reason = "the only failure is \"no slot\"; the caller pages out and retries"
+    )]
     pub fn alloc_slot(&mut self, line: Line) -> Result<Option<Line>, ()> {
         let e = self.dir_get(line);
         assert!(

@@ -14,6 +14,20 @@
 //! are booked by the steps' underlying [`Fabric`] and store calls in
 //! walk order; `Txn` never reorders a booking, it only accounts for the
 //! result.
+//!
+//! A walk that is never finished silently loses its span, its read
+//! statistics and the breakdown-sums-to-total guarantee, so the compiler
+//! and the debug build both refuse one. `Txn` is `#[must_use]`, so a
+//! discarded walk does not compile under `-D warnings`:
+//!
+//! ```compile_fail
+//! #![deny(unused_must_use)]
+//! pimdsm_proto::Txn::start(0, 0, 0);
+//! ```
+//!
+//! and in debug builds a walk dropped without [`Txn::finish`] panics, on
+//! every path the test suites drive. Release builds carry no guard, so
+//! the hot path is unchanged.
 
 use pimdsm_engine::{Cycle, ServerGrant};
 use pimdsm_mem::Line;
@@ -34,7 +48,9 @@ pub enum TxnKind {
 }
 
 /// One in-flight transaction walk: a monotone completion frontier plus
-/// the per-component attribution of every cycle since issue.
+/// the per-component attribution of every cycle since issue. Must be
+/// closed with [`Txn::finish`] (see the module docs).
+#[must_use = "a Txn walk must be closed with `finish`, or its latency and statistics are lost"]
 #[derive(Debug, Clone)]
 pub struct Txn {
     node: NodeId,
@@ -43,6 +59,27 @@ pub struct Txn {
     t: Cycle,
     comps: [Cycle; 5],
     steps: u32,
+    #[cfg(debug_assertions)]
+    unfinished: Unfinished,
+}
+
+/// Debug-build drop guard of a [`Txn`]: panics when dropped, unless
+/// [`Txn::finish`] defused it or the thread is already unwinding. It
+/// lives in a field rather than as `Drop for Txn` so `finish` can still
+/// move the walk's fields out.
+#[cfg(debug_assertions)]
+#[derive(Debug, Clone)]
+struct Unfinished;
+
+#[cfg(debug_assertions)]
+impl Drop for Unfinished {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            panic!(
+                "Txn dropped without finish: the walk's span, statistics and breakdown are lost"
+            );
+        }
+    }
 }
 
 impl Txn {
@@ -55,6 +92,8 @@ impl Txn {
             t: now,
             comps: [0; 5],
             steps: 0,
+            #[cfg(debug_assertions)]
+            unfinished: Unfinished,
         }
     }
 
@@ -127,6 +166,8 @@ impl Txn {
     /// Closes the walk: optionally emits the read/write span, records read
     /// statistics and the component breakdown, and returns the [`Access`].
     pub fn finish(self, fab: &mut Fabric, level: Level, kind: TxnKind, span: bool) -> Access {
+        #[cfg(debug_assertions)]
+        std::mem::forget(self.unfinished);
         // Host-side profiler: one thread-local bump per walk, amortized
         // over the walk's many booked steps. Pure observation.
         pimdsm_prof::counters::add(pimdsm_prof::counters::TXN_WALKS, 1);
@@ -181,5 +222,19 @@ pub fn cache_hit(fab: &mut Fabric, level: Level, now: Cycle, record: bool) -> Ac
         done_at: now + lat,
         level,
         breakdown: comps,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Txn dropped without finish")]
+    fn dropping_an_unfinished_walk_panics() {
+        let mut tx = Txn::start(3, 0x40, 100);
+        tx.probe(2);
+        drop(tx);
     }
 }

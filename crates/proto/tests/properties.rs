@@ -1,6 +1,11 @@
 //! Property-based tests: random access streams never violate the
 //! protocols' structural invariants.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "HashSet is the reference model NodeSet is checked against"
+)]
+
 use proptest::prelude::*;
 
 use pimdsm_proto::{

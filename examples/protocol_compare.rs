@@ -6,6 +6,11 @@
 //! cargo run --release --example protocol_compare tomcat 16
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a command-line example reads its own arguments"
+)]
+
 use pimdsm::{ArchSpec, Machine};
 use pimdsm_workloads::{build, AppId, Scale, ALL_APPS};
 

@@ -90,7 +90,8 @@ fn run_dynamic_reconfig() -> (RunReport, Vec<pimdsm_obs::TraceEvent>) {
 
 /// Runs one lab suite point twice (fresh machine each time, tracer
 /// attached) and asserts the full report JSON and the exact trace-event
-/// sequence are byte-identical — the dynamic guard behind lint rule D001.
+/// sequence are byte-identical — the dynamic guard behind the
+/// `clippy.toml` collection bans (contract D001).
 fn assert_suite_point_deterministic(suite: &str, label_substr: &str) {
     use pimdsm_lab::{find, SuiteCtx};
     use pimdsm_obs::{ToJson, Tracer};
